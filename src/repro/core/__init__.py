@@ -6,6 +6,8 @@
 - :mod:`~repro.core.simulation` — the readable event-driven reference engine,
 - :mod:`~repro.core.fast` — the optimized slot-driven engine the
   experiments use,
+- :mod:`~repro.core.runprotocol` — the warm→settle→measure run protocol
+  both engines drive (phase bookkeeping, result assembly, provenance),
 - :mod:`~repro.core.metrics` — run results (response times, drop rates,
   warm-up traces),
 - :mod:`~repro.core.adaptive` — a feedback controller for PullBW /

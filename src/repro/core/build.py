@@ -66,9 +66,23 @@ class SystemState:
     fleet: Optional["FleetState"] = None
     #: Temperature-driven push-program rebuilder, or None when
     #: ``config.scheduler.reprogram_interval`` is 0.  Both engines poll
-    #: it every ``interval`` slots and apply the swap to the server and
-    #: every schedule-derived client table.
+    #: it every ``interval`` slots and apply a new program with
+    #: :meth:`apply_schedule`.
     reprogrammer: Optional[PushReprogrammer] = None
+
+    def apply_schedule(self, schedule: Schedule) -> None:
+        """Swap the push program everywhere a distance table or cursor was
+        derived from the old one: the server, the MC's threshold filter,
+        the VC and the fleet."""
+        self.schedule = schedule
+        threshold = self.mc_threshold
+        self.server.set_schedule(schedule)
+        threshold.set_schedule(schedule)
+        self.vc.set_schedule(schedule)
+        self.vc.set_threshold_slots(threshold.threshold_slots)
+        if self.fleet is not None:
+            self.fleet.set_schedule(schedule)
+            self.fleet.set_threshold_slots(threshold.threshold_slots)
 
 
 def build_push_program(config: SystemConfig,

@@ -34,7 +34,9 @@ from repro.broadcast.schedule import NOT_BROADCAST
 from repro.core.algorithms import Algorithm
 from repro.core.build import SystemState, build_system
 from repro.core.config import SystemConfig
-from repro.core.metrics import RunResult, TallySnapshot
+from repro.core.metrics import RunResult
+from repro.core.runprotocol import RunProtocol, SimulationStall
+from repro.server.broadcast_server import SlotKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.obs.profile import HotLoopProfile
@@ -45,10 +47,6 @@ __all__ = ["FastEngine", "simulate", "simulate_warmup", "SimulationStall"]
 
 #: How many per-slot Poisson counts to pre-draw at once.
 _POISSON_CHUNK = 1 << 14
-
-
-class SimulationStall(RuntimeError):
-    """The run hit ``max_slots`` before reaching its stop condition."""
 
 
 class FastEngine:
@@ -92,17 +90,16 @@ class FastEngine:
     # -- public protocol -------------------------------------------------------
     def run(self) -> RunResult:
         """Steady-state protocol: warm the cache, settle, then measure."""
-        return self._execute(warmup_mode=False)
+        return self._execute(warmup=False)
 
     def run_warmup(self) -> RunResult:
         """Warm-up protocol (Figure 4): measure from a cold cache until the
         95% warm level is crossed."""
-        if self.state.mc.warmup is None:
-            raise ValueError("warm-up runs need a non-empty cache")
-        return self._execute(warmup_mode=True)
+        return self._execute(warmup=True)
 
-    # -- engine ------------------------------------------------------------------
-    def _execute(self, warmup_mode: bool) -> RunResult:
+    def _execute(self, warmup: bool) -> RunResult:
+        protocol = RunProtocol("fast", self.config, self.state, warmup,
+                               self.request_tracer)
         use_analytic = (self.config.algorithm is Algorithm.PURE_PUSH
                         and not self._force_general
                         and self.tracer is None
@@ -111,88 +108,11 @@ class FastEngine:
                         # The fleet needs every slot ticked: its clients
                         # snoop the frontchannel page by page.
                         and self.state.fleet is None)
-        # lint: allow[REP001] -- wall-clock run duration for the manifest
-        started = time.perf_counter()
-        rtracer = self.request_tracer
-        if rtracer is not None:
-            # Attach before _run_general hoists queue.offer so the hot
-            # loop calls the observed wrapper; detach even on a stall so
-            # a reused SystemState never double-attaches.
-            if rtracer.think_time is None:
-                rtracer.think_time = self.state.mc.think_time
-            self.state.mc.tracer = rtracer
-            self.state.server.queue.attach_observer(rtracer.on_queue_offer)
-        try:
-            if use_analytic:
-                result = self._run_pure_push(warmup_mode)
-            else:
-                result = self._run_general(warmup_mode)
-        finally:
-            if rtracer is not None:
-                self.state.server.queue.detach_observer()
-                self.state.mc.tracer = None
-        # lint: allow[REP001] -- provenance elapsed_seconds, not sim time
-        return self._stamp(result, time.perf_counter() - started)
-
-    def _stamp(self, result: RunResult, elapsed: float) -> RunResult:
-        """Attach the run-provenance manifest (lazy import: obs -> core)."""
-        from dataclasses import replace
-
-        from repro.obs.manifest import run_manifest
-
-        return replace(result, manifest=run_manifest(
-            self.config, "fast", elapsed_seconds=elapsed))
-
-    def _begin_measure(self) -> None:
-        state = self.state
-        state.mc.measuring = True
-        state.mc.reset_stats()
-        state.server.reset_stats()
-        state.vc.reset_stats()
-        if state.fleet is not None:
-            state.fleet.reset_stats()
-
-    def _result(self, warmup_mode: bool, measure_start: float,
-                end_time: float, queue_length_mean: float) -> RunResult:
-        state = self.state
-        mc = state.mc
-        server = state.server
-        from repro.server.broadcast_server import SlotKind
-
-        warmup_times = None
-        if warmup_mode and mc.warmup is not None:
-            warmup_times = dict(mc.warmup.crossing_times)
-        return RunResult(
-            algorithm=self.config.algorithm.value,
-            seed=self.config.run.seed,
-            response_miss=TallySnapshot.of(mc.response_miss,
-                                           mc.latency_miss.quantiles()),
-            response_all=TallySnapshot.of(mc.response_all,
-                                          mc.latency_all.quantiles()),
-            mc_hits=mc.hits,
-            mc_misses=mc.misses,
-            mc_pulls_sent=mc.pulls_sent,
-            requests_enqueued=server.queue.enqueued,
-            requests_duplicate=server.queue.duplicates,
-            requests_dropped=server.queue.dropped,
-            requests_served=server.queue.served,
-            slots_push=server.slot_counts[SlotKind.PUSH],
-            slots_pull=server.slot_counts[SlotKind.PULL],
-            slots_padding=server.slot_counts[SlotKind.PADDING],
-            slots_idle=server.slot_counts[SlotKind.IDLE],
-            queue_length_mean=queue_length_mean,
-            measured_slots=end_time - measure_start,
-            total_slots=end_time,
-            vc_generated=state.vc.generated,
-            vc_absorbed=state.vc.absorbed_by_cache,
-            vc_filtered=state.vc.filtered_by_threshold,
-            warmup_times=warmup_times,
-            fleet=(state.fleet.snapshot()
-                   if state.fleet is not None else None),
-        )
+        return protocol.execute(self._run_pure_push if use_analytic
+                                else self._run_general)
 
     # -- pure-push analytic path ---------------------------------------------------
-    def _run_pure_push(self, warmup_mode: bool) -> RunResult:
+    def _run_pure_push(self, protocol: RunProtocol) -> None:
         """Exact Pure-Push simulation without per-slot ticking.
 
         With ``PullBW = 0`` and no backchannel the program never deviates:
@@ -206,22 +126,10 @@ class FastEngine:
         assert schedule is not None
         cycle = len(schedule)
         distance = schedule.distance
-        run_cfg = self.config.run
-        max_slots = run_cfg.max_slots
-
-        phase_warm, phase_settle, phase_measure = 0, 1, 2
-        if warmup_mode:
-            phase = phase_measure
-            self._begin_measure()
-            target_accesses = math.inf
-        else:
-            phase = phase_warm
-            target_accesses = run_cfg.measure_accesses
-        settle_done = 0
-        measured_done = 0
-        measure_start = 0.0
-        time = 0.0
+        completed = protocol.completed
+        max_slots = self.config.run.max_slots
         think = mc.think_time
+        time = 0.0
 
         while time < max_slots:
             now = time
@@ -236,47 +144,25 @@ class FastEngine:
                 completion = int(now) + d + 1
                 mc.receive(page, now, completion)
             time = completion + think
-            # Phase bookkeeping per completed access.
-            if phase == phase_measure:
-                if warmup_mode:
-                    if mc.warmup is not None and mc.warmup.complete:
-                        return self._result(True, measure_start, completion,
-                                            0.0)
-                else:
-                    measured_done += 1
-                    if measured_done >= target_accesses:
-                        result = self._result(False, measure_start,
-                                              completion, 0.0)
-                        return self._synthesize_push_slots(result)
-            elif phase == phase_warm:
-                if mc.cache.is_full:
-                    phase = phase_settle
-            elif phase == phase_settle:
-                settle_done += 1
-                if settle_done >= run_cfg.settle_accesses:
-                    phase = phase_measure
-                    measure_start = completion
-                    self._begin_measure()
-        raise SimulationStall(
-            f"Pure-Push run exceeded max_slots={max_slots}")
-
-    def _synthesize_push_slots(self, result: RunResult) -> RunResult:
-        """Fill slot counts the analytic path never ticked through."""
-        schedule = self.state.schedule
-        assert schedule is not None
-        elapsed = int(result.measured_slots)
-        pad_fraction = schedule.num_empty_slots / len(schedule)
-        padding = int(round(elapsed * pad_fraction))
-        from dataclasses import replace
-
-        return replace(result, slots_push=elapsed - padding,
-                       slots_padding=padding)
+            if completed(completion):
+                break
+        else:
+            raise SimulationStall(
+                f"Pure-Push run exceeded max_slots={max_slots}")
+        # The server never ticked: credit it with the slots it would have
+        # aired in the measured window, those starting in [start, end).
+        first = math.ceil(protocol.measure_start)
+        last = math.ceil(protocol.end_time)
+        padding = (_empty_slots_before(schedule, last)
+                   - _empty_slots_before(schedule, first))
+        slots = state.server.slot_counts
+        slots[SlotKind.PADDING] = padding
+        slots[SlotKind.PUSH] = last - first - padding
 
     # -- general slot-driven path -----------------------------------------------------
-    def _run_general(self, warmup_mode: bool) -> RunResult:
+    def _run_general(self, protocol: RunProtocol) -> None:
         state = self.state
         config = self.config
-        run_cfg = config.run
         server = state.server
         queue = server.queue
         mc = state.mc
@@ -291,26 +177,14 @@ class FastEngine:
         lookup = mc.lookup
         receive = mc.receive
         think = mc.think_time
-        max_slots = run_cfg.max_slots
-
-        phase_warm, phase_settle, phase_measure = 0, 1, 2
-        if warmup_mode:
-            phase = phase_measure
-            self._begin_measure()
-        else:
-            phase = phase_warm
-        settle_done = 0
-        measured_done = 0
-        measure_start = 0.0
-        target_accesses = run_cfg.measure_accesses
-        settle_accesses = run_cfg.settle_accesses
-        warmup_tracker = mc.warmup
+        max_slots = config.run.max_slots
+        completed = protocol.completed
+        measuring = protocol.measuring
 
         mc_time = 0.0
         waiting_page: int | None = None
         requested_at = 0.0
         stop = False
-        end_time = 0.0
         qlen_sum = 0
         qlen_slots = 0
 
@@ -376,15 +250,7 @@ class FastEngine:
                 new_schedule = reprogrammer.maybe_reprogram(
                     t, queue.scheduler)
                 if new_schedule is not None:
-                    # Swap the program everywhere a distance table or
-                    # cursor was derived from the old one.
-                    server.set_schedule(new_schedule)
-                    threshold.set_schedule(new_schedule)
-                    vc.set_schedule(new_schedule)
-                    vc.set_threshold_slots(threshold.threshold_slots)
-                    if fleet is not None:
-                        fleet.set_schedule(new_schedule)
-                        fleet.set_threshold_slots(threshold.threshold_slots)
+                    state.apply_schedule(new_schedule)
             if t >= max_slots:
                 raise SimulationStall(
                     f"run exceeded max_slots={max_slots} "
@@ -399,26 +265,8 @@ class FastEngine:
                 receive(in_flight, requested_at, now_boundary)
                 waiting_page = None
                 mc_time = now_boundary + think
-                # Completed-access bookkeeping (mirrors the block below).
-                if phase == phase_measure:
-                    if warmup_mode:
-                        if warmup_tracker is not None and warmup_tracker.complete:
-                            stop = True
-                            end_time = now_boundary
-                    else:
-                        measured_done += 1
-                        if measured_done >= target_accesses:
-                            stop = True
-                            end_time = now_boundary
-                elif phase == phase_warm:
-                    if mc.cache.is_full:
-                        phase = phase_settle
-                else:
-                    settle_done += 1
-                    if settle_done >= settle_accesses:
-                        phase = phase_measure
-                        measure_start = now_boundary
-                        self._begin_measure()
+                stop = completed(now_boundary)
+                measuring = protocol.measuring
 
             if profiling:
                 _now = _pc()
@@ -448,33 +296,15 @@ class FastEngine:
                     waiting_page = wanted
                     requested_at = now
                     break
-                # Completed-access (cache hit) bookkeeping.
-                if phase == phase_measure:
-                    if warmup_mode:
-                        if warmup_tracker is not None and warmup_tracker.complete:
-                            stop = True
-                            end_time = now
-                    else:
-                        measured_done += 1
-                        if measured_done >= target_accesses:
-                            stop = True
-                            end_time = now
-                elif phase == phase_warm:
-                    if mc.cache.is_full:
-                        phase = phase_settle
-                else:
-                    settle_done += 1
-                    if settle_done >= settle_accesses:
-                        phase = phase_measure
-                        measure_start = now
-                        self._begin_measure()
+                stop = completed(now)
+                measuring = protocol.measuring
 
             if profiling:
                 _now = _pc()
                 prof.mc_access += _now - _t0
                 _t0 = _now
 
-            if phase == phase_measure:
+            if measuring:
                 qlen_sum += len(queue)
                 qlen_slots += 1
 
@@ -529,9 +359,15 @@ class FastEngine:
         if profiling:
             prof.slots = t
             prof.wall_seconds = _pc() - run_started
-        queue_length_mean = qlen_sum / qlen_slots if qlen_slots else 0.0
-        return self._result(warmup_mode, measure_start, end_time,
-                            queue_length_mean)
+        protocol.qlen_sum = qlen_sum
+        protocol.qlen_slots = qlen_slots
+
+
+def _empty_slots_before(schedule, n: int) -> int:
+    """Padding slots among the first ``n`` slots a periodic program airs."""
+    cycles, rest = divmod(n, len(schedule))
+    return (cycles * schedule.num_empty_slots
+            + schedule.slots[:rest].count(None))
 
 
 def simulate(config: SystemConfig) -> RunResult:

@@ -6,6 +6,8 @@ import pytest
 from repro.cache.p import PPolicy
 from repro.cache.pix import PixPolicy
 from repro.core.build import build_system
+from repro.core.fast import FastEngine
+from repro.core.simulation import ReferenceEngine
 from tests.conftest import small_config
 
 
@@ -114,3 +116,21 @@ class TestBuildSystem:
         quiet_draws = quiet.vc.arrivals_for_slots(50)
         noisy_draws = noisy.vc.arrivals_for_slots(50)
         assert quiet_draws == noisy_draws
+
+
+class TestApplySchedule:
+    @pytest.mark.parametrize("engine_cls", [FastEngine, ReferenceEngine])
+    def test_reprogramming_keeps_every_component_on_the_live_program(
+            self, engine_cls):
+        config = small_config(client__think_time_ratio=20,
+                              scheduler__reprogram_interval=200,
+                              scheduler__reprogram_min_requests=5,
+                              fleet__num_clients=40, fleet__think_time=160.0,
+                              fleet__cache_size=5)
+        state = build_system(config)
+        original = state.schedule
+        engine_cls(config, state=state).run()
+        assert state.reprogrammer.reprograms > 0
+        assert state.schedule is not original
+        assert state.server.schedule is state.schedule
+        assert state.mc_threshold.schedule is state.schedule

@@ -68,10 +68,21 @@ class TestAnalyticShortcut:
         general = FastEngine(push_config, force_general=True).run_warmup()
         assert analytic.warmup_times == general.warmup_times
 
-    def test_synthesized_slot_counts_are_plausible(self, push_config):
-        result = FastEngine(push_config).run()
-        total = result.slots_push + result.slots_padding
-        assert total == pytest.approx(result.measured_slots, abs=1.0)
+    @pytest.mark.parametrize("mode", ["run", "run_warmup"])
+    def test_synthesized_slot_counts_are_exact(self, push_config, mode):
+        """Every slot in the measured window, counted by cycle position."""
+        from repro.core.build import build_system
+
+        # 500 accesses: rounding a padding share would be off by one here.
+        config = push_config.with_(run__measure_accesses=500)
+        schedule = build_system(config).schedule
+        result = getattr(FastEngine(config), mode)()
+        start = int(result.total_slots - result.measured_slots)
+        window = range(start, int(result.total_slots))
+        padding = sum(schedule.page_at(s) is None for s in window)
+        assert result.slots_padding == padding > 0
+        assert result.slots_push == len(window) - padding
+        assert result.slots_pull == result.slots_idle == 0
 
 
 class TestWarmupProtocol:

@@ -1,8 +1,10 @@
 """Cross-validation: the fast engine against the reference engine.
 
-Pure-Push is fully deterministic, so the engines must agree exactly.  The
-stochastic algorithms consume randomness in different orders, so agreement
-is statistical: means within a tolerance over a decent run.
+Pure-Push is fully deterministic, so the engines must agree exactly: the
+fast engine's analytic path reproduces the reference engine's whole
+``RunResult``.  The stochastic algorithms consume randomness in different
+orders, so agreement is statistical: means within a tolerance over a
+decent run.
 """
 
 import pytest
@@ -23,24 +25,29 @@ def averaged(engine_cls, config, seeds=(1, 2, 3)):
     return sum(means) / len(means), sum(drops) / len(drops)
 
 
+def simulated(result):
+    """``result.to_dict()`` without the provenance manifest."""
+    data = result.to_dict()
+    data.pop("manifest")
+    return data
+
+
 class TestPurePushExactAgreement:
+    """The analytic path and the reference engine report the same run."""
+
     def test_identical_traces(self):
         config = small_config(Algorithm.PURE_PUSH,
                               run__measure_accesses=500)
         fast = FastEngine(config).run()
-        general = FastEngine(config, force_general=True).run()
         ref = ReferenceEngine(config).run()
-        assert fast.response_miss.mean == pytest.approx(
-            general.response_miss.mean)
-        assert fast.response_miss.mean == pytest.approx(
-            ref.response_miss.mean)
-        assert fast.mc_misses == general.mc_misses == ref.mc_misses
+        assert simulated(fast) == simulated(ref)
+        assert isinstance(fast.total_slots, float)
 
     def test_warmup_traces_identical(self):
         config = small_config(Algorithm.PURE_PUSH)
         fast = FastEngine(config).run_warmup()
         ref = ReferenceEngine(config).run_warmup()
-        assert fast.warmup_times == ref.warmup_times
+        assert simulated(fast) == simulated(ref)
 
 
 class TestStochasticAgreement:

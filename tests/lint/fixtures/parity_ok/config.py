@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 class RunConfig:
     seed: int = 7
     horizon: float = 1000.0
+    measure: int = 100
 
 
 @dataclass(frozen=True)
