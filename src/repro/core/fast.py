@@ -13,12 +13,15 @@ engine reproduces naturally and which shapes the saturation behaviour:
 4. the virtual client's Poisson request arrivals (strictly inside the
    slot) reach the backchannel queue.
 
-Virtual-client work dominates at high ThinkTimeRatio, so all its draws are
-buffered in bulk (see :mod:`repro.workload.access`) and the threshold check
-is a flat table lookup.  Pure-Push runs take an exact analytic shortcut:
-with no backchannel the schedule is never perturbed, so each miss's arrival
-time is computed directly from the distance table instead of ticking
-millions of empty slots.
+Virtual-client work dominates at high ThinkTimeRatio, so its draws are
+buffered in bulk with cache absorption applied per buffer (see
+:class:`~repro.client.virtual.VirtualClient`), the threshold check is a
+flat table lookup, and each slot's survivors reach the queue through one
+:meth:`~repro.server.queue.BoundedRequestQueue.offer_many` call.
+Pure-Push runs take an exact analytic shortcut: with no backchannel the
+schedule is never perturbed, so each miss's arrival time is computed
+directly from the distance table instead of ticking millions of empty
+slots.
 
 The reference engine in :mod:`repro.core.simulation` implements the same
 semantics event-by-event; integration tests cross-validate the two.
@@ -172,6 +175,7 @@ class FastEngine:
         uses_backchannel = config.algorithm.uses_backchannel
         tick = server.tick
         offer = queue.offer
+        offer_many = queue.offer_many
         requests_for_slot = vc.requests_for_slot
         draw_page = mc.draw_page
         lookup = mc.lookup
@@ -334,24 +338,18 @@ class FastEngine:
                 count = poisson_counts[poisson_cursor]
                 poisson_cursor += 1
                 if count:
+                    survivors = requests_for_slot(count, server.schedule_pos)
+                    offer_many(survivors)
                     if tracing:
-                        for wanted in requests_for_slot(
-                                count, server.schedule_pos):
-                            offer(wanted)
-                            tracer.on_vc_request(wanted)
-                    else:
-                        for wanted in requests_for_slot(
-                                count, server.schedule_pos):
-                            offer(wanted)
+                        tracer.on_vc_requests(len(survivors))
             # Fleet accesses inside this slot.  generate() must run even
             # without a backchannel — clients still access, absorb, and
             # wait on the push program — but its survivors only reach the
             # queue when the algorithm accepts pulls.
             if fleet is not None:
-                survivors = fleet.generate(t, server.schedule_pos)
-                if uses_backchannel:
-                    for wanted in survivors.tolist():
-                        offer(wanted)
+                fleet_survivors = fleet.generate(t, server.schedule_pos)
+                if uses_backchannel and fleet_survivors.size:
+                    offer_many(fleet_survivors.tolist())
             if profiling:
                 prof.vc_arrivals += _pc() - _t0
             t += 1

@@ -229,12 +229,12 @@ class ReferenceEngine:
         mean_gap = 1.0 / vc.rate
         while True:
             yield env.timeout(self._vc_rng.exponential(mean_gap))
-            survivors = list(vc.requests_for_slot(1, server.schedule_pos))
+            survivors = vc.requests_for_slot(1, server.schedule_pos)
             if not survivors:
                 continue
             page = survivors[0]
             if self.tracer is not None:
-                self.tracer.on_vc_request(page)
+                self.tracer.on_vc_requests(1)
             if closed_loop:
                 yield from self._obtain(page, send_pull=True)
             else:

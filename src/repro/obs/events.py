@@ -69,7 +69,7 @@ TRACER_HOOKS: tuple[str, ...] = (
     "on_served",
     "on_slot",
     "on_mc_request",
-    "on_vc_request",
+    "on_vc_requests",
 )
 
 #: Pull-queue scheduling disciplines (``SchedulerConfig.discipline``

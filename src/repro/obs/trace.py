@@ -192,7 +192,7 @@ def read_jsonl(path: str | Path, cls=SlotRecord) -> list:
 class SlotTracer:
     """Collects engine hook calls into per-slot records.
 
-    The engines call :meth:`on_mc_request` / :meth:`on_vc_request` as
+    The engines call :meth:`on_mc_request` / :meth:`on_vc_requests` as
     backchannel requests reach the server queue and :meth:`on_slot` right
     after each server tick; the tracer folds the arrival counts since the
     previous tick into the record and hands it to the sink.  An optional
@@ -223,9 +223,9 @@ class SlotTracer:
         """The measured client sent a backchannel request for ``page``."""
         self._mc_arrivals += 1
 
-    def on_vc_request(self, page: int) -> None:
-        """A virtual-client request for ``page`` reached the queue."""
-        self._vc_arrivals += 1
+    def on_vc_requests(self, count: int) -> None:
+        """``count`` virtual-client requests reached the queue."""
+        self._vc_arrivals += count
 
     def on_slot(self, slot: int, kind, page: Optional[int], queue,
                 mc_waiting: Optional[int]) -> None:

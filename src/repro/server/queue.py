@@ -117,6 +117,55 @@ class BoundedRequestQueue:
         self.scheduler.on_enqueued(page, self.now)
         return Offer.ENQUEUED
 
+    def offer_many(self, pages: list[int]) -> None:
+        """Present requests that arrived in this order, in one pass.
+
+        Equivalent to ``for page in pages: self.offer(page)``: pages are
+        admitted into the remaining capacity in arrival order, requests
+        for queued pages (including pages admitted earlier in the same
+        batch) count as duplicates, and the rest count as drops.  The
+        scheduler sees the outcomes through one
+        :meth:`~repro.server.schedulers.PullScheduler.on_offers` call.
+
+        When :meth:`offer` is shadowed on the instance (an attached
+        observer, a benchmark shim) or overridden by a subclass, every
+        page goes through ``self.offer`` instead, in order, so whatever
+        wraps or replaces it sees each request.  So does a batch of fewer
+        than two pages, where batching saves nothing.
+        """
+        if (len(pages) < 2 or "offer" in self.__dict__
+                or type(self).offer is not BoundedRequestQueue.offer):
+            offer = self.offer
+            for page in pages:
+                offer(page)
+            return
+        queued = self._queued
+        room = self.capacity - len(self._fifo)
+        enqueued: list[int] = []
+        duplicates: list[int] = []
+        rest = pages
+        if room:
+            for index, page in enumerate(pages):
+                if page in queued:
+                    duplicates.append(page)
+                    continue
+                queued.add(page)
+                enqueued.append(page)
+                room -= 1
+                if not room:
+                    break
+            rest = pages[index + 1:]
+            self._fifo.extend(enqueued)
+            self.enqueued += len(enqueued)
+        # The queue is full for the rest of the batch: no pop happens
+        # inside it, so every remaining page is a duplicate or a drop.
+        dropped = [page for page in rest if page not in queued]
+        if len(dropped) < len(rest):
+            duplicates += [page for page in rest if page in queued]
+        self.duplicates += len(duplicates)
+        self.dropped += len(dropped)
+        self.scheduler.on_offers(enqueued, duplicates, dropped, self.now)
+
     def attach_observer(self, callback) -> None:
         """Report every offer outcome to ``callback(page, outcome)``.
 

@@ -8,8 +8,10 @@ interface:
 - :class:`PullScheduler` — the hook surface a
   :class:`~repro.server.queue.BoundedRequestQueue` drives: ``offer``-side
   hooks receive every request's arrival slot (building per-page waiter
-  counts and per-request arrival lists), and :meth:`PullScheduler.select`
-  picks which queued page the next pull slot serves.
+  counts and per-request arrival lists), :meth:`PullScheduler.on_offers`
+  receives a whole batch's outcomes at once, and
+  :meth:`PullScheduler.select` picks which queued page the next pull slot
+  serves.
 - :class:`FifoScheduler` — the paper's discipline, bit-identical to the
   pre-refactor queue: no extra state, no RNG draws, always the head.
 - :class:`RxWScheduler` — Aksoy & Franklin's R×W: serve the page with the
@@ -103,6 +105,24 @@ class PullScheduler:
     def on_served(self, page: int, now: int) -> None:
         """``page`` was popped for service (clear per-page wait state)."""
 
+    def on_offers(self, enqueued: list[int], duplicates: list[int],
+                  dropped: list[int], now: int) -> None:
+        """One batch of offers at slot ``now``, grouped by outcome.
+
+        The batch form of the three hooks above, called once per
+        :meth:`~repro.server.queue.BoundedRequestQueue.offer_many`.  Each
+        list keeps arrival order.  Grouping loses nothing for a discipline
+        whose per-page state depends only on that page's own offers:
+        every drop follows every admission of the batch, and a duplicate
+        of a page admitted in the batch follows its admission.  A
+        discipline that overrides a per-page hook overrides this too.
+        """
+        if self.track_temperature:
+            temperature = self.temperature
+            for pages in (enqueued, duplicates, dropped):
+                for page in pages:
+                    temperature[page] = temperature.get(page, 0) + 1
+
     # -- selection ---------------------------------------------------------
     def select(self, fifo: "deque[int]", now: int) -> int:
         """The queued page the next pull slot should serve.
@@ -164,6 +184,17 @@ class RxWScheduler(PullScheduler):
         del self._first_arrival[page]
         del self._waiters[page]
 
+    def on_offers(self, enqueued: list[int], duplicates: list[int],
+                  dropped: list[int], now: int) -> None:
+        first = self._first_arrival
+        waiters = self._waiters
+        for page in enqueued:
+            first[page] = now
+            waiters[page] = 1
+        for page in duplicates:
+            waiters[page] += 1
+        super().on_offers(enqueued, duplicates, dropped, now)
+
     def waiters(self, page: int) -> int:
         """Requests observed for a queued page (0 when not queued)."""
         return self._waiters.get(page, 0)
@@ -213,6 +244,18 @@ class LwfScheduler(PullScheduler):
     def on_served(self, page: int, now: int) -> None:
         del self._count[page]
         del self._arrival_sum[page]
+
+    def on_offers(self, enqueued: list[int], duplicates: list[int],
+                  dropped: list[int], now: int) -> None:
+        count = self._count
+        arrival_sum = self._arrival_sum
+        for page in enqueued:
+            count[page] = 1
+            arrival_sum[page] = now
+        for page in duplicates:
+            count[page] += 1
+            arrival_sum[page] += now
+        super().on_offers(enqueued, duplicates, dropped, now)
 
     def total_wait(self, page: int, now: int) -> float:
         """Summed wait (slots, +1 each) of a page's outstanding requests."""

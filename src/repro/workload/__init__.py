@@ -4,19 +4,18 @@
   uses for both the measured and the virtual client (θ = 0.95, Table 3),
 - :mod:`~repro.workload.noise` — the Noise perturbation of [Acha95a] that
   makes the measured client's access pattern disagree with the broadcast,
-- :mod:`~repro.workload.access` — batched access-stream samplers and
-  think-time draws shared by the simulation engines.
+- :mod:`~repro.workload.access` — the virtual client's think-time
+  request rate shared by the simulation engines.
 """
 
 from repro.workload.zipf import zipf_probabilities, ZipfSampler
 from repro.workload.noise import perturb_ranking, noisy_probabilities
-from repro.workload.access import AccessStream, think_time_rate
+from repro.workload.access import think_time_rate
 
 __all__ = [
     "zipf_probabilities",
     "ZipfSampler",
     "perturb_ranking",
     "noisy_probabilities",
-    "AccessStream",
     "think_time_rate",
 ]

@@ -1,22 +1,13 @@
-"""Access-stream machinery shared by the simulation engines.
+"""Request-rate helpers shared by the simulation engines.
 
-:class:`AccessStream` wraps a :class:`~repro.workload.zipf.ZipfSampler`
-plus the coins the virtual client needs (steady-state vs warm-up), drawing
-everything in large pre-filled buffers so the per-request cost inside the
-hot simulation loop is a couple of list indexing operations.
+The virtual client's page draws and steady-state coins are buffered by
+:class:`~repro.client.virtual.VirtualClient` itself, which applies cache
+absorption to each buffer as it is drawn.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.workload.zipf import ZipfSampler
-
-__all__ = ["AccessStream", "think_time_rate"]
-
-#: Pre-draw buffer length.  Large enough to amortize numpy call overhead,
-#: small enough to keep memory trivial.
-_BUFFER_SIZE = 1 << 16
+__all__ = ["think_time_rate"]
 
 
 def think_time_rate(mc_think_time: float, think_time_ratio: float) -> float:
@@ -31,60 +22,3 @@ def think_time_rate(mc_think_time: float, think_time_ratio: float) -> float:
     if think_time_ratio <= 0:
         raise ValueError("think_time_ratio must be positive")
     return think_time_ratio / mc_think_time
-
-
-class AccessStream:
-    """Buffered stream of (page, steady?) access draws.
-
-    Used by the fast engine's virtual client: each call to :meth:`next`
-    returns one page id and whether the issuing (virtual) client is in
-    steady state — decided by a coin weighted by ``steady_state_perc``.
-    """
-
-    def __init__(self, sampler: ZipfSampler, steady_state_perc: float,
-                 rng: np.random.Generator):
-        if not 0.0 <= steady_state_perc <= 1.0:
-            raise ValueError("steady_state_perc must be within [0, 1]")
-        self._sampler = sampler
-        self._steady_perc = steady_state_perc
-        self._rng = rng
-        # Buffers are plain Python lists: scalar indexing of a list is
-        # several times faster than indexing a numpy array, and the hot
-        # simulation loop consumes these one draw at a time.
-        self._pages: list[int] = []
-        self._steady: list[bool] = []
-        self._cursor = 0
-
-    def _refill(self) -> None:
-        self._pages = self._sampler.sample(_BUFFER_SIZE).tolist()
-        if self._steady_perc >= 1.0:
-            self._steady = [True] * _BUFFER_SIZE
-        elif self._steady_perc <= 0.0:
-            self._steady = [False] * _BUFFER_SIZE
-        else:
-            self._steady = (
-                self._rng.random(_BUFFER_SIZE) < self._steady_perc).tolist()
-        self._cursor = 0
-
-    def next(self) -> tuple[int, bool]:
-        """Next (page id, is_steady_state) pair."""
-        if self._cursor >= len(self._pages):
-            self._refill()
-        index = self._cursor
-        self._cursor = index + 1
-        return self._pages[index], self._steady[index]
-
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Take ``count`` draws at once (pages array, steady mask)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        pages: list[int] = []
-        steady: list[bool] = []
-        while len(pages) < count:
-            if self._cursor >= len(self._pages):
-                self._refill()
-            chunk = min(len(self._pages) - self._cursor, count - len(pages))
-            pages.extend(self._pages[self._cursor:self._cursor + chunk])
-            steady.extend(self._steady[self._cursor:self._cursor + chunk])
-            self._cursor += chunk
-        return np.asarray(pages, dtype=np.int64), np.asarray(steady, dtype=bool)

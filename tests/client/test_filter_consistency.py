@@ -38,8 +38,12 @@ def test_vectorized_filter_matches_scalar(thresh_perc, schedule_pos, seed):
     # Every allowed page with non-trivial probability shows up in a
     # 300-draw sample of a 7-page Zipf (p_min ~ 2.5%); if one is missing
     # the vectorized path filtered something the scalar path allows.
-    vc2, _ = build_vc(thresh_perc, seed=seed)
-    drawn = {page for page in vc2._stream.take(300)[0].tolist()}
+    # The same seed without a threshold (and no cache) yields every draw.
+    unfiltered = VirtualClient(zipf_probabilities(7, 0.95), frozenset(),
+                               0.0, mc_think_time=20.0,
+                               think_time_ratio=10.0, threshold=None,
+                               rng=np.random.default_rng(seed))
+    drawn = set(unfiltered.requests_for_slot(300, schedule_pos))
     assert survivors == (allowed & drawn)
 
 

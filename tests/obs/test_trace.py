@@ -105,8 +105,7 @@ class TestSlotTracer:
         tracer = SlotTracer(sink)
         queue = BoundedRequestQueue(4)
         tracer.on_mc_request(3)
-        tracer.on_vc_request(5)
-        tracer.on_vc_request(6)
+        tracer.on_vc_requests(2)
         tracer.on_slot(0, SlotKind.PUSH, 9, queue, mc_waiting=3)
         tracer.on_slot(1, SlotKind.PADDING, None, queue, mc_waiting=None)
         first, second = sink.records

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.mux import PushPullMux
 
@@ -42,3 +43,29 @@ class TestPushPullMux:
             mux.wants_pull()
         rng2 = np.random.default_rng(5)
         assert before == rng2.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=st.lists(
+           st.tuples(st.one_of(st.sampled_from((0.0, 1.0)),
+                               st.floats(0.0, 1.0, allow_nan=False)),
+                     st.integers(0, 3000)),
+           min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_buffered_coin_equals_scalar_replica(segments, seed):
+    """Block-drawn coins decide every slot exactly as one scalar
+    ``rng.random()`` per non-degenerate toss would, while a controller
+    moves ``pull_bw`` (across 0 and 1 included) and tosses cross block
+    refills."""
+    mux = PushPullMux(0.5, np.random.default_rng(seed))
+    scalar = np.random.default_rng(seed)
+    for pull_bw, slots in segments:
+        mux.pull_bw = pull_bw
+        for _ in range(slots):
+            if pull_bw <= 0.0:
+                expected = False
+            elif pull_bw >= 1.0:
+                expected = True
+            else:
+                expected = scalar.random() < pull_bw
+            assert mux.wants_pull() is expected

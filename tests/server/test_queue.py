@@ -1,9 +1,10 @@
 """Unit and property tests for the bounded request queue."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.server.queue import BoundedRequestQueue, Offer
+from repro.server.schedulers import DISCIPLINES, make_scheduler
 
 
 class TestOfferSemantics:
@@ -203,3 +204,98 @@ class TestObserver:
         assert log.count(Offer.ENQUEUED) == queue.enqueued
         assert log.count(Offer.DUPLICATE) == queue.duplicates
         assert log.count(Offer.DROPPED) == queue.dropped
+
+
+def _scheduler_state(scheduler):
+    """Every attribute of a discipline, dicts as ordered item lists."""
+    return {name: (list(value.items()) if isinstance(value, dict)
+                   else value)
+            for name, value in vars(scheduler).items()}
+
+
+def _queue_state(queue):
+    return (list(queue._fifo), sorted(queue._queued), queue.snapshot(),
+            _scheduler_state(queue.scheduler))
+
+
+class TestOfferMany:
+    """``offer_many`` is one-pass admission equal to sequential offers."""
+
+    @settings(max_examples=60)
+    @given(batches=st.lists(
+               st.tuples(st.lists(st.integers(0, 12), max_size=25),
+                         st.integers(0, 3)),
+               max_size=12),
+           capacity=st.integers(min_value=1, max_value=8),
+           discipline=st.sampled_from(DISCIPLINES),
+           track_temperature=st.booleans())
+    def test_equals_sequential_offers(self, batches, capacity, discipline,
+                                      track_temperature):
+        """Batches interleaved with pops and clock moves leave queue
+        order, counters and discipline state exactly as per-page offers
+        do."""
+        def make():
+            return BoundedRequestQueue(capacity, make_scheduler(
+                discipline, track_temperature=track_temperature))
+
+        batched, sequential = make(), make()
+        for now, (pages, pops) in enumerate(batches):
+            for queue in (batched, sequential):
+                queue.now = now
+                for _ in range(min(pops, len(queue))):
+                    queue.pop()
+            batched.offer_many(pages)
+            for page in pages:
+                sequential.offer(page)
+            assert _queue_state(batched) == _queue_state(sequential)
+
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    @pytest.mark.parametrize("track_temperature", [False, True])
+    def test_batch_fills_capacity_midway(self, discipline,
+                                         track_temperature):
+        def make():
+            queue = BoundedRequestQueue(3, make_scheduler(
+                discipline, track_temperature=track_temperature))
+            queue.now = 5
+            queue.offer(9)
+            return queue
+
+        batched, sequential = make(), make()
+        # 4 and 9 duplicate (in-batch and queued), 7 fills the queue,
+        # 2 and 8 drop, 4 duplicates again after the queue is full.
+        pages = [4, 4, 9, 7, 2, 4, 8, 2]
+        batched.offer_many(pages)
+        for page in pages:
+            sequential.offer(page)
+        assert _queue_state(batched) == _queue_state(sequential)
+        assert list(batched._fifo) == [9, 4, 7]
+        assert (batched.enqueued, batched.duplicates, batched.dropped) == (
+            3, 3, 3)
+
+    def test_empty_batch_is_a_noop(self):
+        queue = BoundedRequestQueue(2)
+        queue.offer_many([])
+        assert queue.offers == 0 and len(queue) == 0
+
+    def test_attached_observer_sees_every_offer(self):
+        queue = BoundedRequestQueue(2)
+        seen = []
+        queue.attach_observer(lambda page, outcome: seen.append(
+            (page, outcome)))
+        queue.offer_many([3, 3, 5, 6, 5])
+        assert seen == [(3, Offer.ENQUEUED), (3, Offer.DUPLICATE),
+                        (5, Offer.ENQUEUED), (6, Offer.DROPPED),
+                        (5, Offer.DUPLICATE)]
+
+    def test_subclass_offer_override_is_honoured(self):
+        class CountingQueue(BoundedRequestQueue):
+            calls = 0
+
+            def offer(self, page):
+                CountingQueue.calls += 1
+                return super().offer(page)
+
+        queue = CountingQueue(2)
+        queue.offer_many([1, 2, 3])
+        assert CountingQueue.calls == 3
+        assert queue.dropped == 1

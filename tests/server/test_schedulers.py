@@ -349,6 +349,30 @@ def test_fifo_discipline_bit_identical_to_legacy_queue(engine_cls):
     assert refactored == legacy
 
 
+@pytest.mark.parametrize("fleet_clients", [0, 40])
+def test_untraced_fast_run_through_legacy_queue_equals_default(
+        fleet_clients):
+    """Untraced, the fast loop admits VC and fleet survivors with
+    ``offer_many``; through the legacy queue, whose ``offer`` override
+    forces per-page admission, the whole RunResult must be identical."""
+    from repro.core.build import build_system
+
+    config = small_config(client__think_time_ratio=40,
+                          run__measure_accesses=400, run__seed=11,
+                          fleet__num_clients=fleet_clients,
+                          fleet__think_time=160.0)
+
+    def result(legacy: bool) -> dict:
+        state = build_system(config)
+        if legacy:
+            state.server.queue = LegacyQueue(config.server.queue_size)
+        outcome = FastEngine(config, state=state).run().to_dict()
+        outcome.pop("manifest")
+        return outcome
+
+    assert result(legacy=False) == result(legacy=True)
+
+
 def test_fifo_discipline_config_is_the_default():
     config = small_config()
     assert config.scheduler == SchedulerConfig()
