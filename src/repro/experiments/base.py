@@ -428,28 +428,47 @@ def run_replicated(config: SystemConfig, profile: Profile,
     return _checked(PointStats.of(results, metric), config)
 
 
-def sweep_series(label: str, configs: Sequence[SystemConfig],
-                 xs: Sequence[float], profile: Profile,
-                 warmup: bool = False,
-                 metric: Callable[[RunResult], float] | None = None,
-                 ) -> FigureSeries:
-    """Run a whole curve: one replicated point per (x, config) pair."""
+def _sweep(metrics: Mapping[str, Callable[[RunResult], float]],
+           configs: Sequence[SystemConfig], xs: Sequence[float],
+           profile: Profile, warmup: bool,
+           label: Optional[str]) -> list[FigureSeries]:
+    """Run one curve's replicates once and aggregate each metric from them.
+
+    (point, replicate) pairs are flattened so a process pool can chew the
+    whole curve; the series come back in ``metrics`` order.
+    """
     if len(configs) != len(xs):
         raise ValueError("configs and xs must align")
-    if metric is None:
-        metric = lambda r: r.response_miss.mean  # noqa: E731
-    # Flatten (point, replicate) so a process pool can chew the whole curve.
+    if not metrics:
+        raise ValueError("metrics must not be empty")
     flat: list[SystemConfig] = []
     for config in configs:
         flat.extend(profile.apply(config, profile.base_seed + r)
                     for r in range(profile.replicates))
     results = run_sweep(flat, warmup=warmup, workers=profile.workers,
                         label=label)
-    points = []
-    for i, config in enumerate(configs):
-        chunk = results[i * profile.replicates:(i + 1) * profile.replicates]
-        points.append(_checked(PointStats.of(chunk, metric), config))
-    return FigureSeries(label=label, x=list(xs), points=points)
+    series = []
+    for series_label, metric in metrics.items():
+        points = []
+        for i, config in enumerate(configs):
+            chunk = results[i * profile.replicates:
+                            (i + 1) * profile.replicates]
+            points.append(_checked(PointStats.of(chunk, metric), config))
+        series.append(FigureSeries(label=series_label, x=list(xs),
+                                   points=points))
+    return series
+
+
+def sweep_series(label: str, configs: Sequence[SystemConfig],
+                 xs: Sequence[float], profile: Profile,
+                 warmup: bool = False,
+                 metric: Callable[[RunResult], float] | None = None,
+                 ) -> FigureSeries:
+    """Run a whole curve: one replicated point per (x, config) pair."""
+    if metric is None:
+        metric = lambda r: r.response_miss.mean  # noqa: E731
+    return _sweep({label: metric}, configs, xs, profile, warmup=warmup,
+                  label=label)[0]
 
 
 def sweep_series_multi(metrics: Mapping[str, Callable[[RunResult], float]],
@@ -465,22 +484,4 @@ def sweep_series_multi(metrics: Mapping[str, Callable[[RunResult], float]],
     Returns one :class:`FigureSeries` per ``metrics`` entry, in mapping
     order, all sharing the underlying replicate runs.
     """
-    if len(configs) != len(xs):
-        raise ValueError("configs and xs must align")
-    if not metrics:
-        raise ValueError("metrics must not be empty")
-    flat: list[SystemConfig] = []
-    for config in configs:
-        flat.extend(profile.apply(config, profile.base_seed + r)
-                    for r in range(profile.replicates))
-    results = run_sweep(flat, workers=profile.workers, label=label)
-    series = []
-    for series_label, metric in metrics.items():
-        points = []
-        for i, config in enumerate(configs):
-            chunk = results[i * profile.replicates:
-                            (i + 1) * profile.replicates]
-            points.append(_checked(PointStats.of(chunk, metric), config))
-        series.append(FigureSeries(label=series_label, x=list(xs),
-                                   points=points))
-    return series
+    return _sweep(metrics, configs, xs, profile, warmup=False, label=label)

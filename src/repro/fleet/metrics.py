@@ -1,8 +1,8 @@
 """Publish a fleet's per-user accounting through the metrics registry.
 
-Mirrors :mod:`repro.obs.server_metrics`: the fleet keeps plain resettable
-counters, registry counters only go up, so the adapter exports deltas and
-treats a backward jump as a reset.  Gauges carry the per-user wait
+The fleet keeps plain resettable counters, mirrored as deltas through
+:class:`~repro.obs.metrics.MetricsMirror` like the server's
+(:mod:`repro.obs.server_metrics`).  Gauges carry the per-user wait
 statistics (dispersion, quantiles, Jain's index) from the fleet's
 :meth:`~repro.fleet.state.FleetState.snapshot`.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsMirror, MetricsRegistry
 
 __all__ = ["FleetMetricsAdapter", "bind_fleet_metrics"]
 
@@ -27,48 +27,33 @@ _GAUGES = (
 )
 
 
-class FleetMetricsAdapter:
+class FleetMetricsAdapter(MetricsMirror):
     """Mirror one fleet's statistics into a metrics registry."""
 
     def __init__(self, registry: MetricsRegistry, fleet,
                  prefix: str = "fleet"):
-        self.registry = registry
         self.fleet = fleet
         self.prefix = prefix
-        self._last: dict[str, int] = {}
-        # Create instruments eagerly so a snapshot taken before the
-        # first sync still lists the full instrument set (at zero).
-        for name in _COUNTERS:
-            registry.counter(f"{prefix}_{name}_total",
-                             f"fleet accesses {name}")
-        for name in _GAUGES:
-            registry.gauge(f"{prefix}_{name}", f"fleet {name}")
+        super().__init__(
+            registry,
+            {f"{prefix}_{name}_total": f"fleet accesses {name}"
+             for name in _COUNTERS},
+            {f"{prefix}_{name}": f"fleet {name}" for name in _GAUGES})
 
-    def _bump(self, name: str, value: int) -> None:
-        """Advance counter ``name`` to cumulative ``value`` via a delta."""
-        last = self._last.get(name, 0)
-        delta = value - last
-        if delta < 0:
-            # The fleet's counters were reset (measurement boundary);
-            # the post-reset value is what accumulated since.
-            delta = value
-        if delta:
-            self.registry.counter(name).inc(delta)
-        self._last[name] = value
-
-    def sync(self) -> None:
-        """Publish the fleet's current statistics into the registry."""
+    def readings(self):
+        """The fleet's counters and gauges from one ``snapshot``."""
         prefix = self.prefix
         snapshot = self.fleet.snapshot()
-        for name in _COUNTERS:
-            self._bump(f"{prefix}_{name}_total", snapshot[name])
+        gauges = {}
         for name in _GAUGES:
             value = snapshot[name]
             # Gauges have no NaN convention; an unmeasured statistic
             # simply reads 0 until users complete accesses.
-            self.registry.gauge(f"{prefix}_{name}").set(
+            gauges[f"{prefix}_{name}"] = (
                 0.0 if isinstance(value, float) and math.isnan(value)
                 else value)
+        return ({f"{prefix}_{name}_total": snapshot[name]
+                 for name in _COUNTERS}, gauges)
 
 
 def bind_fleet_metrics(registry: MetricsRegistry, fleet,

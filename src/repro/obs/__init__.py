@@ -10,8 +10,9 @@ opens the black box:
   lossless JSONL converters, and vectorized breakdown / exact-quantile
   analytics for million-record traces,
 - :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with a
-  shared no-op mode for zero-cost disabled instrumentation,
-- :mod:`repro.obs.profile` — phase timers for the fast engine's hot loop
+  shared no-op mode for zero-cost disabled instrumentation, and the
+  delta mirror that publishes a component's resettable counters into it,
+- :mod:`repro.obs.profile` — the fast engine's hot-loop phase profile
   (slots/sec, per-phase wall-time breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
@@ -27,7 +28,7 @@ opens the black box:
   --watch`` / ``loadgen --watch``) over one metrics vocabulary,
 - :mod:`repro.obs.manifest` — run/sweep provenance manifests (seed,
   config, versions, timestamp),
-- :mod:`repro.obs.server_metrics` — adapter mirroring the broadcast
+- :mod:`repro.obs.server_metrics` — the mirror of the broadcast
   server's own slot/queue counters into a metrics registry, so
   simulated runs and the :mod:`repro.net` server share one
   metrics-export path.
@@ -70,10 +71,11 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsMirror,
     MetricsRegistry,
     NULL_REGISTRY,
 )
-from repro.obs.profile import HotLoopProfile, PhaseTimer, profile_run
+from repro.obs.profile import HotLoopProfile, profile_run
 from repro.obs.sampling import (
     EveryNSampling,
     ReservoirSampling,
@@ -123,8 +125,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricsMirror",
     "NULL_REGISTRY",
-    "PhaseTimer",
     "HotLoopProfile",
     "profile_run",
     "TraceDiff",

@@ -510,10 +510,9 @@ def exact_quantiles(values: np.ndarray,
                     ) -> Optional[dict[str, float]]:
     """Exact empirical quantiles via ``np.partition`` (None when empty).
 
-    Uses the same rank convention as the report command's sorted-list
-    path — ``sorted(values)[min(n - 1, int(q * n))]`` — but selects all
-    ranks in one O(n) introselect pass instead of a full sort, and never
-    builds Python floats for the non-selected elements.
+    Uses the rank convention ``sorted(values)[min(n - 1, int(q * n))]``
+    but selects all ranks in one O(n) introselect pass instead of a full
+    sort, and never builds Python floats for the non-selected elements.
     """
     values = np.asarray(values, dtype=np.float64)
     n = int(values.size)
@@ -529,8 +528,7 @@ def slot_summary(array: np.ndarray) -> dict:
     """Aggregate view of a slot table (the ``report`` command's lines).
 
     Returns ``{"slots": n, "kinds": {name: count}, "mean_queue_depth":
-    float, "dropped": int}`` with only the slot kinds actually present,
-    matching the Counter the JSONL report path builds.
+    float, "dropped": int}`` with only the slot kinds actually present.
     """
     _require_table(array, "slot")
     total = int(array.shape[0])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.sim.monitor import Tally
 
@@ -29,6 +29,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricsMirror",
     "NULL_REGISTRY",
 ]
 
@@ -120,11 +121,13 @@ class Histogram:
         unweighted histograms on the exact integer-count / plain-Welford
         path, so unsampled runs stay bit-identical.
         """
-        self.counts[bisect.bisect_left(self.bounds, value)] += weight
+        # The tally validates first, so a rejected value (non-finite, or
+        # a non-positive weight) leaves the buckets untouched too.
         if weight == 1:
             self._tally.add(value)
         else:
             self._tally.add_weighted(value, weight)
+        self.counts[bisect.bisect_left(self.bounds, value)] += weight
 
     def observe_many(self, values) -> None:
         """Record a batch of unweighted observations, vectorized.
@@ -321,37 +324,10 @@ class MetricsRegistry:
         """Get or create the named histogram."""
         return self._get_or_create(Histogram, name, help_, buckets)
 
-    def register_tally(self, name: str, tally: Tally,
-                       help_: str = "") -> None:
-        """Expose an externally owned :class:`Tally` in snapshots.
-
-        The simulation's own statistics collectors (MC response-time
-        tallies etc.) can be published without copying; the snapshot
-        reads their state lazily.
-        """
-        if not self.enabled:
-            return
-        existing = self._instruments.get(name)
-        if existing is not None and existing is not tally:
-            raise TypeError(f"metric {name!r} already registered")
-        self._instruments[name] = tally
-
     def snapshot(self) -> dict:
         """Nested plain-dict state of every instrument."""
-        out = {}
-        for name, instrument in sorted(self._instruments.items()):
-            if isinstance(instrument, Tally):
-                out[name] = {
-                    "type": "summary",
-                    "count": instrument.count,
-                    "mean": instrument.mean,
-                    "stddev": instrument.stddev,
-                    "min": instrument.min if instrument.count else math.nan,
-                    "max": instrument.max if instrument.count else math.nan,
-                }
-            else:
-                out[name] = instrument.snapshot()
-        return out
+        return {name: instrument.snapshot()
+                for name, instrument in sorted(self._instruments.items())}
 
     def render(self) -> str:
         """Human-readable table of the current snapshot."""
@@ -366,6 +342,54 @@ class MetricsRegistry:
                           f"min={state['min']:.4g} max={state['max']:.4g}")
             lines.append(f"{name:<{width}}  {kind:<9}  {detail}")
         return "\n".join(lines) if lines else "(no metrics registered)"
+
+
+class MetricsMirror:
+    """Mirror a component's own counters and gauges into a registry.
+
+    Simulation components keep plain cumulative counters that are
+    *resettable* (``reset_stats()`` zeroes them at the warm-up/measure
+    boundary), while registry counters only go up.  The mirror therefore
+    remembers the last value it exported per counter and publishes
+    deltas, treating a backward jump as a reset (the post-reset value is
+    the delta).  Gauges simply take the current reading.
+
+    A subclass names its instruments (``{name: help}``) at construction,
+    where they are created eagerly so a snapshot taken before the first
+    :meth:`sync` still lists the full set at zero, and implements
+    :meth:`readings`.
+    """
+
+    def __init__(self, registry: MetricsRegistry,
+                 counters: Mapping[str, str], gauges: Mapping[str, str]):
+        self.registry = registry
+        self._last: dict[str, int] = {}
+        for name, help_ in counters.items():
+            registry.counter(name, help_)
+        for name, help_ in gauges.items():
+            registry.gauge(name, help_)
+
+    def readings(self) -> tuple[Mapping[str, int], Mapping[str, float]]:
+        """The component's current ``(counters, gauges)`` by name."""
+        raise NotImplementedError
+
+    def sync(self) -> None:
+        """Publish the component's current readings into the registry.
+
+        Each call is O(number of instruments) and touches nothing else.
+        """
+        counters, gauges = self.readings()
+        for name, value in counters.items():
+            delta = value - self._last.get(name, 0)
+            if delta < 0:
+                # The component's counters were reset (measurement
+                # boundary); the post-reset value is what accumulated since.
+                delta = value
+            if delta:
+                self.registry.counter(name).inc(delta)
+            self._last[name] = value
+        for name, value in gauges.items():
+            self.registry.gauge(name).set(value)
 
 
 #: A process-wide disabled registry: the no-op default for instrumentation.

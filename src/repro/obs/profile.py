@@ -10,65 +10,17 @@ used by ``repro-broadcast profile``.
 Timing every phase of every slot costs real wall time (two clock reads
 per phase), so the numbers are for *relative* attribution — which phase
 dominates, how the split shifts with load — not absolute throughput;
-:mod:`benchmarks.test_bench_substrates` measures absolute throughput
-without instrumentation.
+``perfbench/run.py`` measures absolute throughput without
+instrumentation.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
-__all__ = ["PhaseTimer", "HotLoopProfile", "profile_run"]
+__all__ = ["HotLoopProfile", "profile_run"]
 
 #: Hot-loop phases in their within-slot execution order (DESIGN.md §6).
 ENGINE_PHASES: tuple[str, ...] = (
     "control", "deliver", "mc_access", "server_tick", "vc_arrivals")
-
-
-class PhaseTimer:
-    """Accumulates wall time under named phases.
-
-    Use :meth:`time` as a context manager for coarse scopes, or
-    :meth:`add` with externally measured durations for hot loops that
-    cannot afford the context-manager overhead.
-    """
-
-    # lint: allow[REP001] -- the profiler IS the timer; clock is injectable
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    def add(self, phase: str, seconds: float, calls: int = 1) -> None:
-        """Credit ``seconds`` of wall time to ``phase``."""
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
-        self.calls[phase] = self.calls.get(phase, 0) + calls
-
-    def time(self, phase: str):
-        """Context manager crediting its scope's duration to ``phase``."""
-        return _PhaseScope(self, phase)
-
-    @property
-    def total(self) -> float:
-        """Wall time across all phases."""
-        return sum(self.seconds.values())
-
-
-class _PhaseScope:
-    __slots__ = ("_timer", "_phase", "_started")
-
-    def __init__(self, timer: PhaseTimer, phase: str):
-        self._timer = timer
-        self._phase = phase
-        self._started = 0.0
-
-    def __enter__(self):
-        self._started = self._timer._clock()
-        return self
-
-    def __exit__(self, *exc):
-        self._timer.add(self._phase, self._timer._clock() - self._started)
 
 
 class HotLoopProfile:

@@ -25,14 +25,13 @@ hot-loop budget (one hoisted boolean test per slot).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.obs.latency import LatencyHistogram
-from repro.obs.trace import TraceSink
+from repro.obs.trace import TraceSink, _record_from_dict, read_jsonl
 
 __all__ = [
     "OPTIONAL_REQUEST_FIELDS",
@@ -98,16 +97,8 @@ class RequestRecord:
         lack them); a missing *required* field raises a ValueError that
         names it, instead of a bare KeyError.
         """
-        fields = {}
-        for name in cls.__slots__:
-            if name in data:
-                fields[name] = data[name]
-            elif name in OPTIONAL_REQUEST_FIELDS:
-                fields[name] = None
-            else:
-                raise ValueError(
-                    f"request trace record missing required field {name!r}")
-        return cls(**fields)
+        return _record_from_dict(cls, data, OPTIONAL_REQUEST_FIELDS,
+                                 "request")
 
 
 #: RequestRecord fields typed Optional: absent keys in a serialized
@@ -120,13 +111,7 @@ OPTIONAL_REQUEST_FIELDS: tuple[str, ...] = (
 
 def read_requests_jsonl(path: str | Path) -> list[RequestRecord]:
     """Load a request trace previously written through a ``JsonlSink``."""
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(RequestRecord.from_dict(json.loads(line)))
-    return records
+    return read_jsonl(path, cls=RequestRecord)
 
 
 @dataclass

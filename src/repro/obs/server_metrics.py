@@ -9,24 +9,22 @@ other consumer had to know the snapshot dict shapes.  The adapter here
 mirrors those counters into registry instruments so simulated and
 real-network runs share one metrics-export path: the net server syncs
 every telemetry snapshot, a simulation syncs once after ``run()``, and
-both end up with identical instrument names.
-
-The server's counters are cumulative but *resettable*
-(``reset_stats()`` zeroes them at the warm-up/measure boundary), while
-registry counters only go up; the adapter therefore tracks the last
-value it exported per counter and publishes deltas, treating a backward
-jump as a reset (the post-reset value is the delta).
+both end up with identical instrument names.  The delta-with-reset
+export is :class:`~repro.obs.metrics.MetricsMirror`'s.
 """
 
 from __future__ import annotations
 
 from repro.obs.events import SCHEDULER_DECISIONS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsMirror, MetricsRegistry
 
 __all__ = ["ServerMetricsAdapter", "bind_server_metrics"]
 
+#: Queue counters mirrored as ``<prefix>_requests_<outcome>_total``.
+_OUTCOMES = ("enqueued", "duplicates", "dropped", "served")
 
-class ServerMetricsAdapter:
+
+class ServerMetricsAdapter(MetricsMirror):
     """Mirror one server's accounting into a metrics registry.
 
     Instruments created (under ``<prefix>_``):
@@ -42,64 +40,48 @@ class ServerMetricsAdapter:
       decision kind (``repro.obs.events.SCHEDULER_DECISIONS``: pull
       services granted / services taken out of FIFO order).
 
-    Call :meth:`sync` whenever an up-to-date registry view is needed;
-    each call is O(number of instruments) and touches nothing else.
+    Call :meth:`sync` whenever an up-to-date registry view is needed.
     """
 
     def __init__(self, registry: MetricsRegistry, server,
                  prefix: str = "server"):
-        self.registry = registry
         self.server = server
         self.prefix = prefix
-        self._last: dict[str, int] = {}
-        # Create instruments eagerly so a snapshot taken before the
-        # first sync still lists the full instrument set (at zero).
-        for kind in server.slot_counts:
-            registry.counter(f"{prefix}_slots_{kind.value}_total",
-                             f"slots that carried a {kind.value}")
-        for outcome in ("enqueued", "duplicates", "dropped", "served"):
-            registry.counter(f"{prefix}_requests_{outcome}_total",
-                             f"backchannel requests {outcome}")
+        counters = {f"{prefix}_slots_{kind.value}_total":
+                    f"slots that carried a {kind.value}"
+                    for kind in server.slot_counts}
+        for outcome in _OUTCOMES:
+            counters[f"{prefix}_requests_{outcome}_total"] = (
+                f"backchannel requests {outcome}")
         for decision in SCHEDULER_DECISIONS:
-            registry.counter(f"{prefix}_sched_{decision}_total",
-                             f"pull-scheduler decisions: {decision}")
-        registry.gauge(f"{prefix}_queue_depth", "requests queued now")
-        registry.gauge(f"{prefix}_queue_capacity", "queue capacity")
-        registry.gauge(f"{prefix}_queue_drop_rate",
-                       "fraction of offered requests dropped")
-        registry.gauge(f"{prefix}_schedule_pos", "push-program cursor")
+            counters[f"{prefix}_sched_{decision}_total"] = (
+                f"pull-scheduler decisions: {decision}")
+        super().__init__(registry, counters, {
+            f"{prefix}_queue_depth": "requests queued now",
+            f"{prefix}_queue_capacity": "queue capacity",
+            f"{prefix}_queue_drop_rate":
+                "fraction of offered requests dropped",
+            f"{prefix}_schedule_pos": "push-program cursor",
+        })
 
-    def _bump(self, name: str, value: int) -> None:
-        """Advance counter ``name`` to cumulative ``value`` via a delta."""
-        last = self._last.get(name, 0)
-        delta = value - last
-        if delta < 0:
-            # The server's counters were reset (measurement boundary);
-            # the post-reset value is what accumulated since.
-            delta = value
-        if delta:
-            self.registry.counter(name).inc(delta)
-        self._last[name] = value
-
-    def sync(self) -> None:
-        """Publish the server's current accounting into the registry."""
+    def readings(self):
+        """The server's counters and gauges from one ``stats_snapshot``."""
         prefix = self.prefix
         snapshot = self.server.stats_snapshot()
-        for kind, count in snapshot["slots"].items():
-            self._bump(f"{prefix}_slots_{kind}_total", count)
         queue = snapshot["queue"]
-        for outcome in ("enqueued", "duplicates", "dropped", "served"):
-            self._bump(f"{prefix}_requests_{outcome}_total", queue[outcome])
+        counters = {f"{prefix}_slots_{kind}_total": count
+                    for kind, count in snapshot["slots"].items()}
+        for outcome in _OUTCOMES:
+            counters[f"{prefix}_requests_{outcome}_total"] = queue[outcome]
         for decision in SCHEDULER_DECISIONS:
-            self._bump(f"{prefix}_sched_{decision}_total",
-                       queue["scheduler"][decision])
-        self.registry.gauge(f"{prefix}_queue_depth").set(queue["depth"])
-        self.registry.gauge(f"{prefix}_queue_capacity").set(
-            queue["capacity"])
-        self.registry.gauge(f"{prefix}_queue_drop_rate").set(
-            queue["drop_rate"])
-        self.registry.gauge(f"{prefix}_schedule_pos").set(
-            snapshot["schedule_pos"])
+            counters[f"{prefix}_sched_{decision}_total"] = (
+                queue["scheduler"][decision])
+        return counters, {
+            f"{prefix}_queue_depth": queue["depth"],
+            f"{prefix}_queue_capacity": queue["capacity"],
+            f"{prefix}_queue_drop_rate": queue["drop_rate"],
+            f"{prefix}_schedule_pos": snapshot["schedule_pos"],
+        }
 
 
 def bind_server_metrics(registry: MetricsRegistry, server,

@@ -91,16 +91,28 @@ class SlotRecord:
         lack them); a missing *required* field raises a ValueError that
         names it, instead of a bare KeyError.
         """
-        fields = {}
-        for name in cls.__slots__:
-            if name in data:
-                fields[name] = data[name]
-            elif name in OPTIONAL_SLOT_FIELDS:
-                fields[name] = None
-            else:
-                raise ValueError(
-                    f"slot trace record missing required field {name!r}")
-        return cls(**fields)
+        return _record_from_dict(cls, data, OPTIONAL_SLOT_FIELDS, "slot")
+
+
+def _record_from_dict(cls, data: dict, optional: tuple[str, ...],
+                      table: str):
+    """Rebuild a ``cls`` trace record from its serialized dict.
+
+    Shared by :meth:`SlotRecord.from_dict` and
+    :meth:`~repro.obs.requests.RequestRecord.from_dict`: keys outside
+    ``cls``'s fields are dropped, absent ``optional`` fields become None,
+    and an absent required field is a ValueError naming the ``table``.
+    """
+    fields = {}
+    for name in cls.__slots__:
+        if name in data:
+            fields[name] = data[name]
+        elif name in optional:
+            fields[name] = None
+        else:
+            raise ValueError(
+                f"{table} trace record missing required field {name!r}")
+    return cls(**fields)
 
 
 class TraceSink:

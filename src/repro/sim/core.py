@@ -10,9 +10,9 @@ order, which makes runs fully deterministic.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-__all__ = ["Environment", "Event", "Timeout", "AnyOf", "AllOf", "SimulationError"]
+__all__ = ["Environment", "Event", "Timeout", "SimulationError"]
 
 #: Default priority for ordinary events.
 NORMAL = 1
@@ -135,58 +135,6 @@ class Timeout(Event):
         env._schedule(self, delay=delay, priority=priority)
 
 
-class _CompositeEvent(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._pending = len(self._events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e.value for e in self._events if e.processed and e.ok}
-
-
-class AnyOf(_CompositeEvent):
-    """Fires when the first of ``events`` fires; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_CompositeEvent):
-    """Fires when all of ``events`` have fired; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._collect())
-
-
 class Environment:
     """The simulation clock and event calendar.
 
@@ -201,8 +149,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        #: The process currently executing (guards self-interrupt).
-        self._active_process = None
 
     @property
     def now(self) -> float:
@@ -218,14 +164,6 @@ class Environment:
                 priority: int = NORMAL) -> Timeout:
         """Create an event firing ``delay`` units from now."""
         return Timeout(self, delay, value, priority=priority)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when every one of ``events`` has fired."""
-        return AllOf(self, events)
 
     def process(self, generator) -> "Process":
         """Start a new :class:`~repro.sim.process.Process` from a generator."""

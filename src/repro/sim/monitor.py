@@ -1,16 +1,15 @@
 """Statistics collectors for simulation output.
 
-:class:`Tally` accumulates per-observation statistics (response times);
-:class:`TimeWeighted` integrates a piecewise-constant signal over simulated
-time (queue lengths, occupancy).  Both use numerically stable streaming
-updates (Welford) so million-observation runs stay accurate.
+:class:`Tally` accumulates per-observation statistics (response times)
+with numerically stable streaming updates (Welford), so
+million-observation runs stay accurate.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["Tally", "TimeWeighted"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -147,50 +146,3 @@ class Tally:
         return (f"Tally(count={self.count}, mean={self.mean:.4g}, "
                 f"min={self.min:.4g}, max={self.max:.4g})")
 
-
-class TimeWeighted:
-    """Time-average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; :attr:`mean` is the
-    integral divided by elapsed time.
-    """
-
-    __slots__ = ("_start", "_last_time", "_value", "_area", "max")
-
-    def __init__(self, time: float = 0.0, value: float = 0.0):
-        self._start = time
-        self._last_time = time
-        self._value = value
-        self._area = 0.0
-        self.max = value
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError("time moved backwards")
-        self._area += self._value * (time - self._last_time)
-        self._last_time = time
-        self._value = value
-        if value > self.max:
-            self.max = value
-
-    def mean(self, now: float | None = None) -> float:
-        """Time-average from construction to ``now`` (default: last update)."""
-        end = self._last_time if now is None else now
-        if end < self._last_time:
-            raise ValueError("now precedes the last recorded update")
-        elapsed = end - self._start
-        if elapsed == 0:
-            return self._value
-        area = self._area + self._value * (end - self._last_time)
-        return area / elapsed
-
-    def as_dict(self, now: float | None = None) -> dict:
-        """Plain-dict summary for observability exports."""
-        return {"value": self._value, "mean": self.mean(now),
-                "max": self.max}

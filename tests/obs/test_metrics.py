@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.obs.latency import LatencyHistogram
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -71,6 +72,16 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.observe_many([2.0, math.nan])
         assert hist.count == 1  # the clean value did not slip in
+
+    @pytest.mark.parametrize("cls", [Histogram, LatencyHistogram])
+    def test_rejected_observe_leaves_buckets_untouched(self, cls):
+        hist = cls("lat")
+        hist.observe(3.0)
+        for value, weight in ((math.nan, 1), (math.inf, 1), (-math.inf, 1),
+                              (2.0, 0), (2.0, -1.5)):
+            with pytest.raises(ValueError):
+                hist.observe(value, weight)
+        assert sum(hist.counts) == hist.count == 1
 
     def test_summary_stats_match_tally(self):
         hist = Histogram("lat", buckets=(10,))
@@ -159,22 +170,6 @@ class TestMetricsRegistry:
         assert snap["g"]["value"] == pytest.approx(2.5)
         assert snap["h"]["count"] == 1
 
-    def test_register_tally_reads_lazily(self):
-        registry = MetricsRegistry()
-        tally = Tally()
-        registry.register_tally("response_time", tally)
-        tally.add(4.0)  # after registration: snapshot must see it
-        snap = registry.snapshot()["response_time"]
-        assert snap["type"] == "summary"
-        assert snap["count"] == 1
-        assert snap["mean"] == pytest.approx(4.0)
-
-    def test_register_tally_conflict(self):
-        registry = MetricsRegistry()
-        registry.register_tally("t", Tally())
-        with pytest.raises(TypeError):
-            registry.register_tally("t", Tally())
-
     def test_render_lists_every_instrument(self):
         registry = MetricsRegistry()
         registry.counter("requests_total").inc(7)
@@ -190,7 +185,6 @@ class TestMetricsRegistry:
         counter.inc(10)
         registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
-        registry.register_tally("t", Tally())
         assert counter.value == 0
         assert len(registry) == 0
         assert registry.snapshot() == {}

@@ -3,34 +3,7 @@
 import pytest
 
 from repro.core.fast import FastEngine
-from repro.obs.profile import ENGINE_PHASES, HotLoopProfile, PhaseTimer, profile_run
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestPhaseTimer:
-    def test_add_accumulates(self):
-        timer = PhaseTimer()
-        timer.add("tick", 0.5)
-        timer.add("tick", 0.25, calls=3)
-        timer.add("deliver", 1.0)
-        assert timer.seconds["tick"] == pytest.approx(0.75)
-        assert timer.calls["tick"] == 4
-        assert timer.total == pytest.approx(1.75)
-
-    def test_context_manager_uses_clock(self):
-        clock = FakeClock()
-        timer = PhaseTimer(clock=clock)
-        with timer.time("phase"):
-            clock.now = 2.5
-        assert timer.seconds["phase"] == pytest.approx(2.5)
-        assert timer.calls["phase"] == 1
+from repro.obs.profile import ENGINE_PHASES, HotLoopProfile, profile_run
 
 
 class TestHotLoopProfile:

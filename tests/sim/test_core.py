@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.core import AllOf, AnyOf, Environment, SimulationError, Timeout
+from repro.sim.core import Environment, SimulationError, Timeout
 
 
 class TestEnvironment:
@@ -153,40 +153,3 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(Environment(), -0.5)
 
-
-class TestComposites:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(5.0, value="slow")
-        any_of = AnyOf(env, [fast, slow])
-        env.run()
-        assert any_of.processed
-        assert any_of.value == {fast: "fast"}
-
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        a = env.timeout(1.0, value="a")
-        b = env.timeout(3.0, value="b")
-        all_of = AllOf(env, [a, b])
-        fired_at = []
-        all_of.add_callback(lambda e: fired_at.append(env.now))
-        env.run()
-        assert fired_at == [3.0]
-        assert all_of.value == {a: "a", b: "b"}
-
-    def test_empty_composites_fire_immediately(self):
-        env = Environment()
-        any_of = AnyOf(env, [])
-        all_of = AllOf(env, [])
-        env.run()
-        assert any_of.processed and all_of.processed
-
-    def test_any_of_propagates_failure(self):
-        env = Environment()
-        bad = env.event()
-        bad.fail(ValueError("nope"))
-        any_of = AnyOf(env, [bad, env.timeout(9.0)])
-        env.run(until=1.0)
-        assert any_of.triggered
-        assert not any_of.ok

@@ -1,7 +1,7 @@
 """Edge-case tests for the DES kernel beyond the basic suites."""
 
-from repro.sim import Environment, Interrupt
-from repro.sim.core import URGENT, AllOf
+from repro.sim import Environment
+from repro.sim.core import URGENT
 
 
 class TestPriorities:
@@ -45,42 +45,6 @@ class TestProcessComposition:
         env.process(root(env, out))
         env.run()
         assert out == [(2.0, 20)]
-
-    def test_all_of_with_processes(self):
-        env = Environment()
-
-        def worker(env, duration, tag):
-            yield env.timeout(duration)
-            return tag
-
-        procs = [env.process(worker(env, d, f"w{d}")) for d in (1.0, 3.0)]
-        gathered = AllOf(env, procs)
-        env.run()
-        assert sorted(gathered.value.values()) == ["w1.0", "w3.0"]
-
-    def test_interrupt_during_think_reschedules(self):
-        """The pattern the reference engine's MC would use if interrupted:
-        catch, handle, continue the loop."""
-        env = Environment()
-        log = []
-
-        def client(env):
-            while env.now < 10.0:
-                try:
-                    yield env.timeout(4.0)
-                    log.append(("thought", env.now))
-                except Interrupt:
-                    log.append(("poked", env.now))
-
-        def poker(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        victim = env.process(client(env))
-        env.process(poker(env, victim))
-        env.run(until=20.0)
-        assert ("poked", 2.0) in log
-        assert any(tag == "thought" for tag, _ in log)
 
 
 class TestRunControl:

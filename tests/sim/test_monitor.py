@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Tally, TimeWeighted
+from repro.sim import Tally
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -156,59 +156,3 @@ class TestFromMoments:
         assert merged.min == pooled.min
         assert merged.max == pooled.max
 
-
-class TestTimeWeighted:
-    def test_constant_signal(self):
-        tw = TimeWeighted(time=0.0, value=3.0)
-        assert tw.mean(now=10.0) == 3.0
-
-    def test_step_signal(self):
-        tw = TimeWeighted(time=0.0, value=0.0)
-        tw.update(4.0, 10.0)   # 0 for 4 units
-        tw.update(8.0, 0.0)    # 10 for 4 units
-        assert tw.mean(now=8.0) == pytest.approx(5.0)
-
-    def test_mean_extends_current_value(self):
-        tw = TimeWeighted(time=0.0, value=2.0)
-        tw.update(5.0, 4.0)
-        # 2*5 + 4*5 over 10 units.
-        assert tw.mean(now=10.0) == pytest.approx(3.0)
-
-    def test_zero_elapsed_returns_current_value(self):
-        tw = TimeWeighted(time=3.0, value=7.0)
-        assert tw.mean(now=3.0) == 7.0
-
-    def test_max_tracks_peaks(self):
-        tw = TimeWeighted()
-        tw.update(1.0, 9.0)
-        tw.update(2.0, 1.0)
-        assert tw.max == 9.0
-
-    def test_time_going_backwards_rejected(self):
-        tw = TimeWeighted()
-        tw.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(4.0, 2.0)
-
-    def test_mean_before_last_update_rejected(self):
-        tw = TimeWeighted()
-        tw.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.mean(now=4.0)
-
-    @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=10.0),
-                              finite_floats),
-                    min_size=1, max_size=50))
-    def test_piecewise_integral(self, segments):
-        tw = TimeWeighted(time=0.0, value=0.0)
-        now = 0.0
-        area = 0.0
-        value = 0.0
-        for duration, new_value in segments:
-            area += value * duration
-            now += duration
-            tw.update(now, new_value)
-            value = new_value
-        if now > 0:
-            assert tw.mean(now=now) == pytest.approx(area / now, rel=1e-9,
-                                                     abs=1e-6)

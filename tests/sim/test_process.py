@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 class TestBasics:
@@ -54,18 +54,6 @@ class TestBasics:
         env.process(waiter(env, target, out))
         env.run()
         assert out == [(1.0, 42)]
-
-    def test_is_alive_tracks_lifetime(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(5.0)
-
-        process = env.process(proc(env))
-        env.run(until=1.0)
-        assert process.is_alive
-        env.run(until=6.0)
-        assert not process.is_alive
 
     def test_waiting_on_already_processed_event(self):
         env = Environment()
@@ -143,71 +131,3 @@ class TestBasics:
         env.run()
         assert outcome == ["inner"]
 
-
-class TestInterrupt:
-    def test_interrupt_wakes_process_with_cause(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        def interrupter(env, victim):
-            yield env.timeout(3.0)
-            victim.interrupt(cause="wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [(3.0, "wake up")]
-
-    def test_interrupting_finished_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_process_can_rewait_after_interrupt(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            nap = env.timeout(10.0)
-            try:
-                yield nap
-            except Interrupt:
-                log.append(("interrupted", env.now))
-                yield nap  # finish the original sleep
-            log.append(("done", env.now))
-
-        def interrupter(env, victim):
-            yield env.timeout(4.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [("interrupted", 4.0), ("done", 10.0)]
-
-    def test_self_interrupt_rejected(self):
-        env = Environment()
-        errors = []
-
-        def proc(env):
-            try:
-                this.interrupt()
-            except SimulationError as exc:
-                errors.append(str(exc))
-            yield env.timeout(1.0)
-
-        this = env.process(proc(env))
-        env.run()
-        assert len(errors) == 1
